@@ -2,12 +2,11 @@
 
 The dense-suite optimization work (docs/performance.md, "Allocation-rate
 engineering") replaced per-event closures with pooled event records that
-carry at most two bound arguments (``Engine.call_at``/``call_after``,
-``Link.send``'s argument form).  A closure or nested function created on
-the hot path re-introduces exactly the per-event allocation the slab
-removed -- and nothing but a lint rule would notice, because the code
-still behaves identically.  This module makes the discipline checked
-instead of conventional.
+carry at most two bound arguments (``Engine.call_at``/``call_after``).
+A closure or nested function created on the hot path re-introduces
+exactly the per-event allocation the slab removed -- and nothing but a
+lint rule would notice, because the code still behaves identically.
+This module makes the discipline checked instead of conventional.
 
 Rule:
 
@@ -101,7 +100,7 @@ class HotPathAllocationRule(Rule):
     description = ("closure/lambda/partial constructed on the simulator "
                    "hot path (engine event loop, Link.send, tick() "
                    "methods); bind arguments into the pooled event "
-                   "record (call_at/call_after/Link.send arg) or "
+                   "record (call_at/call_after) or "
                    "annotate the site '# perf: alloc-ok -- why'")
     scope = ("repro.sim", "repro.gpu", "repro.memory", "repro.network",
              "repro.core")

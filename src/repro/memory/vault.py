@@ -16,18 +16,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-try:                              # vectorized FR-FCFS scan (optional)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.config import LINE_SIZE
 from repro.memory.dram import BankState, DRAMTimingSM
 from repro.sim.engine import Engine
-
-#: Window size at which the numpy FR-FCFS scan beats the Python loop.
-#: Below this the per-call array setup dominates; the scalar scan stays.
-VEC_PICK_THRESHOLD = 24
 
 
 @dataclass
@@ -221,25 +212,11 @@ class VaultController:
         Returns ``(index, horizon)``: index is None when every windowed
         bank is busy, in which case ``horizon`` is the earliest cycle a
         windowed bank frees up.
-
-        Deep windows run a vectorized scan; shallow ones keep the Python
-        loop.  Both make the identical decision (row-hit / free-bank /
-        horizon all resolve by queue age), so the dispatch threshold can
-        never change a simulation result -- pinned by the randomized
-        equivalence test in ``tests/test_memory.py``.
         """
-        n = len(self.queue)
-        if n > self.queue_size:
-            n = self.queue_size
-        if _np is not None and n >= VEC_PICK_THRESHOLD:
-            return self._pick_index_vec(now, n)
-        return self._pick_index_scalar(now, n)
-
-    def _pick_index_scalar(self, now: int, n: int) -> tuple[int | None, int]:
         fallback = None
         horizon = 1 << 62
         banks = self.banks
-        for idx, req in enumerate(islice(self.queue, n)):
+        for idx, req in enumerate(islice(self.queue, self.queue_size)):
             bank = banks[req.bank]
             busy = bank.busy_until
             if busy > now:
@@ -253,37 +230,6 @@ class VaultController:
         if fallback is not None:
             return fallback, now
         return None, horizon
-
-    def _pick_index_vec(self, now: int, n: int) -> tuple[int | None, int]:
-        """Price the whole scheduler window in one numpy pass.
-
-        Bank state is gathered fresh from the ``BankState`` objects every
-        call (16 banks), so direct mutation of ``self.banks`` -- tests,
-        refresh, fault paths -- is always observed.  ``argmax`` on a bool
-        array yields the first True, i.e. the oldest matching request,
-        which is exactly the scalar scan's age order.
-        """
-        banks = self.banks
-        nb = len(banks)
-        b_busy = _np.empty(nb, dtype=_np.int64)
-        b_row = _np.empty(nb, dtype=_np.int64)
-        for i, bank in enumerate(banks):
-            b_busy[i] = bank.busy_until
-            row = bank.open_row
-            b_row[i] = -1 if row is None else row   # rows are non-negative
-        req_bank = _np.empty(n, dtype=_np.intp)
-        req_row = _np.empty(n, dtype=_np.int64)
-        for i, req in enumerate(islice(self.queue, n)):
-            req_bank[i] = req.bank
-            req_row[i] = req.row
-        busy = b_busy[req_bank]
-        free = busy <= now
-        if not free.any():
-            return None, int(busy.min())
-        hits = free & (b_row[req_bank] == req_row)
-        if hits.any():
-            return int(hits.argmax()), now
-        return int(free.argmax()), now
 
     def _take(self, idx: int) -> DRAMRequest:
         q = self.queue
@@ -359,7 +305,6 @@ class VaultController:
                 continue
             self.engine.call_at(ready + req.extra_latency,
                                 self._complete, req)
-            now = self.engine.now  # unchanged; loop to try the next request
         # queue drained; nothing to schedule
 
     # -- completion ----------------------------------------------------------

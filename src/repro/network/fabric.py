@@ -29,32 +29,6 @@ HOP_LATENCY = 6
 GPU_LINK_LATENCY = 10
 
 
-class _HopWalk:
-    """Reusable record for one packet's hop-by-hop traversal.
-
-    Replaces the per-hop forwarding closure: the network binds the walk
-    record into each link-arrival event (``Engine.call_at`` via
-    ``Link.send``'s argument-carrying form), mutates ``hop`` in place, and
-    recycles the record into the network's free list after final delivery.
-    ``reset()`` clears every field so recycled state can never leak
-    between packets (the recycle invariant, docs/performance.md).
-    """
-
-    __slots__ = ("path", "hop", "size", "deliver")
-
-    def __init__(self) -> None:
-        self.path: list[int] | None = None
-        self.hop = 0
-        self.size = 0
-        self.deliver: Callable[[], None] | None = None
-
-    def reset(self) -> None:
-        self.path = None
-        self.hop = 0
-        self.size = 0
-        self.deliver = None
-
-
 class MemoryNetwork:
     """Hypercube of HMC-to-HMC serdes links."""
 
@@ -70,7 +44,6 @@ class MemoryNetwork:
         if bpc is None:
             bpc = cfg.hmc.link_bytes_per_sm_cycle(cfg.gpu.sm_clock_mhz)
         self._links: dict[tuple[int, int], Link] = {}
-        self._walks: list[_HopWalk] = []   # recycled hop-walk records
         # sorted(): networkx edge order is adjacency-insertion order; a
         # canonical construction order keeps link ids and any future
         # iteration over _links independent of topology-builder internals.
@@ -105,29 +78,16 @@ class MemoryNetwork:
         if src == dst:
             self.engine.at(self.engine.now, deliver)
             return
-        walks = self._walks
-        walk = walks.pop() if walks else _HopWalk()
-        walk.path = dimension_order_path(src, dst)
-        walk.hop = 0
-        walk.size = size_bytes
-        walk.deliver = deliver
-        self._step(walk)
+        path = dimension_order_path(src, dst)
+        self._forward(path, 0, size_bytes, deliver)
 
-    def _step(self, walk: _HopWalk) -> None:
-        """Advance one hop; the link arrival re-enters here with the same
-        record until the last hop, where the record is recycled *before*
-        ``deliver`` runs (a delivery that sends again may reuse it)."""
-        path = walk.path
-        hop = walk.hop
+    def _forward(self, path: list[int], hop: int, size: int,
+                 deliver: Callable[[], None]) -> None:
         if hop == len(path) - 1:
-            deliver = walk.deliver
-            walk.reset()
-            self._walks.append(walk)
             deliver()
             return
         link = self._links[(path[hop], path[hop + 1])]
-        walk.hop = hop + 1
-        link.send(walk.size, self._step, walk)
+        link.send(size, lambda: self._forward(path, hop + 1, size, deliver))
 
     def hops(self, src: int, dst: int) -> int:
         return len(dimension_order_path(src, dst)) - 1

@@ -25,13 +25,6 @@ from typing import Callable
 #: from ``None`` so callbacks may legitimately receive ``None``.
 _NOARG = object()
 
-#: Width of the near-future calendar lane, in cycles.  Events landing
-#: within ``(now, now + CAL_SPAN]`` skip the heap entirely: the dominant
-#: delays on the dense hot path (L1/L2 latencies, link hops) are small
-#: constants, so most events ride the O(1) calendar instead of paying
-#: two O(log n) heap operations.
-CAL_SPAN = 8
-
 
 class _EventRecord:
     """A pooled, reusable event.
@@ -43,19 +36,13 @@ class _EventRecord:
     observe) a later tenant of the same record -- see :meth:`Engine.cancel`.
     """
 
-    __slots__ = ("time", "seq", "fn", "a", "b", "gen")
+    __slots__ = ("fn", "a", "b", "gen")
 
     def __init__(self) -> None:
-        self.time = 0
-        self.seq = 0
         self.fn: Callable | None = None
         self.a = _NOARG
         self.b = _NOARG
         self.gen = 0
-
-
-def _bucket_time(bucket: "list[_EventRecord]") -> int:
-    return bucket[0].time
 
 
 class Engine:
@@ -65,19 +52,9 @@ class Engine:
     system driver interleaves :meth:`process_due` with per-cycle component
     ticks and may fast-forward over idle regions with :meth:`next_event_time`.
 
-    Two scheduling lanes back the queue, invisible to callers:
-
-    * a **calendar lane** of ``CAL_SPAN`` buckets for events due within
-      ``(now, now + CAL_SPAN]`` -- append on schedule, splice on drain;
-    * the classic **heap** for same-cycle and far-future events.
-
-    :meth:`process_due` merges both lanes in strict global ``(time, seq)``
-    order, so lane placement can never reorder same-cycle events --
-    execution order is bit-identical to a single-heap engine.  The bucket
-    invariant that makes the merge cheap: outside of :meth:`process_due`
-    every bucket holds records of exactly one future time (a half-open
-    ``CAL_SPAN`` window meets each residue class once), appended in
-    ``seq`` order.
+    One binary heap of ``(time, seq, record)`` entries backs the queue;
+    ``seq`` is a global scheduling counter, so events due in the same
+    cycle run in the order they were scheduled.
 
     Hot callers avoid per-event closure allocation with
     :meth:`call_at` / :meth:`call_after`, which bind up to two positional
@@ -87,17 +64,14 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        # far/same-cycle lane: (time, seq, record) tuples -- seq is unique,
-        # so heap comparisons never reach the record (C-speed ordering).
+        # (time, seq, record) tuples -- seq is unique, so heap comparisons
+        # never reach the record (C-speed ordering).
         self._events: list[tuple[int, int, _EventRecord]] = []
-        self._cal: list[list[_EventRecord]] = [[] for _ in range(CAL_SPAN)]
-        self._cal_count = 0
         self._free: list[_EventRecord] = []
         self._seq = 0
         self.events_processed = 0
         self.events_recycled = 0
         self.events_cancelled = 0
-        self.calendar_events = 0
         self.subcycle_delays = 0
 
     # -- scheduling ----------------------------------------------------------
@@ -112,17 +86,10 @@ class Engine:
         else:
             rec = _EventRecord()
         self._seq += 1
-        rec.time = time
-        rec.seq = self._seq
         rec.fn = fn
         rec.a = a
         rec.b = b
-        if now < time <= now + CAL_SPAN:
-            self._cal[time % CAL_SPAN].append(rec)
-            self._cal_count += 1
-            self.calendar_events += 1
-        else:
-            heapq.heappush(self._events, (time, rec.seq, rec))
+        heapq.heappush(self._events, (time, self._seq, rec))
         return rec
 
     def at(self, time: int, fn: Callable[[], None]) -> None:
@@ -173,7 +140,7 @@ class Engine:
         """Tombstone a scheduled event via its ``(record, generation)``
         handle.  Returns ``True`` if the event was live and is now dead.
 
-        No allocation and no queue surgery: the record stays in its lane
+        No allocation and no queue surgery: the record stays in the heap
         and is recycled when its time drains.  A stale handle -- the event
         already fired, was already cancelled, or the record now serves a
         later tenant -- is rejected by the generation stamp and this is a
@@ -196,61 +163,14 @@ class Engine:
         self._free.append(rec)
         self.events_recycled += 1
 
-    def _take_due_calendar(self) -> list[_EventRecord] | None:
-        """Splice out every due calendar bucket, merged in (time, seq)
-        order.  Buckets are single-time and seq-ordered (class invariant),
-        so this is a bucket sort, not a record sort."""
-        now = self.now
-        cal = self._cal
-        due_buckets: list[list[_EventRecord]] | None = None
-        for i in range(CAL_SPAN):
-            b = cal[i]
-            if b and b[0].time <= now:
-                cal[i] = []
-                self._cal_count -= len(b)
-                if due_buckets is None:
-                    due_buckets = [b]
-                else:
-                    due_buckets.append(b)
-        if due_buckets is None:
-            return None
-        if len(due_buckets) == 1:
-            return due_buckets[0]
-        due_buckets.sort(key=_bucket_time)
-        merged = due_buckets[0]
-        for b in due_buckets[1:]:
-            merged.extend(b)
-        return merged
-
     def process_due(self) -> int:
         """Run all events scheduled at or before the current cycle, in
-        strict global ``(time, seq)`` order across both lanes."""
+        ``(time, seq)`` order."""
         now = self.now
         n = 0
         heap = self._events
-        due = self._take_due_calendar() if self._cal_count else None
-        # After the splice above, callbacks can only add same-cycle events
-        # to the heap (``at(now)``) or strictly-future events to either
-        # lane, so re-checking the heap head each iteration is sufficient.
-        i = 0
-        nd = len(due) if due is not None else 0
-        while True:
-            if i < nd:
-                rec = due[i]
-                if heap:
-                    h = heap[0]
-                    ht = h[0]
-                    if ht <= now and (ht < rec.time or
-                                      (ht == rec.time and h[1] < rec.seq)):
-                        rec = heapq.heappop(heap)[2]
-                    else:
-                        i += 1
-                else:
-                    i += 1
-            elif heap and heap[0][0] <= now:
-                rec = heapq.heappop(heap)[2]
-            else:
-                break
+        while heap and heap[0][0] <= now:
+            rec = heapq.heappop(heap)[2]
             fn = rec.fn
             if fn is not None:
                 a = rec.a
@@ -266,20 +186,13 @@ class Engine:
         return n
 
     def next_event_time(self) -> int | None:
-        t = self._events[0][0] if self._events else None
-        if self._cal_count:
-            for b in self._cal:
-                if b:
-                    bt = b[0].time
-                    if t is None or bt < t:
-                        t = bt
-        return t
+        return self._events[0][0] if self._events else None
 
     @property
     def pending(self) -> int:
         """Scheduled-but-undrained events (tombstoned cancellations count
         until their time passes -- they still bound fast-forward)."""
-        return len(self._events) + self._cal_count
+        return len(self._events)
 
     def metrics_snapshot(self) -> dict:
         """Counters/gauges published into the metrics registry."""
@@ -287,7 +200,8 @@ class Engine:
                 "events_processed": self.events_processed,
                 "events_recycled": self.events_recycled,
                 "events_cancelled": self.events_cancelled,
-                "calendar_events": self.calendar_events,
+                # read by perfbench/layers.py; there is no calendar lane
+                "calendar_events": 0,
                 "event_pool_free": len(self._free),
                 "subcycle_delays": self.subcycle_delays}
 
@@ -443,15 +357,11 @@ class Link:
         self.packets_sent = 0
         self.counters = counters
 
-    def send(self, size_bytes: int, deliver: Callable[..., None],
-             arg=_NOARG) -> int:
+    def send(self, size_bytes: int, deliver: Callable[[], None]) -> int:
         """Transmit ``size_bytes``; call ``deliver`` on arrival.
 
         Returns the delivery cycle.  Serialization queues behind earlier
         packets (``busy_until``); propagation latency is added on top.
-        ``arg``, when given, is bound into the pooled event record and
-        passed to ``deliver`` -- hot senders use this instead of building
-        a closure per packet.
         """
         if size_bytes <= 0:
             raise ValueError("packet size must be positive")
@@ -464,7 +374,7 @@ class Link:
         self.packets_sent += 1
         if self.counters is not None:
             self.counters.add(self.traffic_class, size_bytes)
-        self.engine._schedule(arrival, deliver, arg, _NOARG)
+        self.engine._schedule(arrival, deliver, _NOARG, _NOARG)
         return arrival
 
     @property

@@ -117,11 +117,13 @@ class TestDRAMTiming:
         assert bank.busy_until == ready + t.tWR
 
 
-def _mk_vault(engine):
+def _mk_vault(engine, queue_size=64):
     cfg = SystemConfig()
     t = DRAMTimingSM.from_config(cfg.hmc.timing, cfg.gpu.sm_clock_mhz, 32)
     stats = DRAMStats()
-    return VaultController(engine, t, num_banks=16, stats=stats), stats, t
+    vault = VaultController(engine, t, num_banks=16, stats=stats,
+                            queue_size=queue_size)
+    return vault, stats, t
 
 
 class TestVaultController:
@@ -136,22 +138,46 @@ class TestVaultController:
         assert stats.reads == 1
         assert stats.activations == 1
 
-    def test_fr_fcfs_prefers_row_hits(self):
+    @staticmethod
+    def _served_order(queue_size, misses):
         e = Engine()
-        vault, stats, t = _mk_vault(e)
+        vault, stats, t = _mk_vault(e, queue_size=queue_size)
         order = []
-        # Open row 1 on bank 0 with a first access, then queue a row-2 and
-        # a row-1 request; the row-1 (hit) must be served first even though
-        # the row-2 request is older.
+        # Open row 1 on bank 0 with a first access, then queue row-2
+        # misses and a row-1 request behind them.
         vault.submit(DRAMRequest(0, False, lambda r: order.append("warm"),
                                  bank=0, row=1))
         e.drain()
-        vault.submit(DRAMRequest(1, False, lambda r: order.append("miss"),
-                                 bank=0, row=2))
-        vault.submit(DRAMRequest(2, False, lambda r: order.append("hit"),
+        for i in range(misses):
+            vault.submit(DRAMRequest(1 + i, False,
+                                     lambda r, i=i: order.append(f"miss{i}"),
+                                     bank=0, row=2))
+        vault.submit(DRAMRequest(1 + misses, False,
+                                 lambda r: order.append("hit"),
                                  bank=0, row=1))
         e.drain()
-        assert order == ["warm", "hit", "miss"]
+        return order
+
+    def test_fr_fcfs_prefers_row_hits(self):
+        # The row-1 (hit) must be served first even though the row-2
+        # request is older.
+        assert self._served_order(64, 1) == ["warm", "hit", "miss0"]
+
+    @pytest.mark.parametrize("queue_size,misses,hit_visible", [
+        (64, 30, True),    # deep queue: the hit sits at window index 30
+        (4, 4, False),     # the hit is queued just past a 4-entry window
+    ], ids=["deep", "past-window"])
+    def test_fr_fcfs_scheduler_window(self, queue_size, misses,
+                                      hit_visible):
+        # Only the first queue_size requests are visible to FR-FCFS: a
+        # row hit inside the window jumps every older miss, one queued
+        # past it waits its turn.
+        misses_in_age_order = [f"miss{i}" for i in range(misses)]
+        if hit_visible:
+            expected = ["warm", "hit"] + misses_in_age_order
+        else:
+            expected = ["warm"] + misses_in_age_order + ["hit"]
+        assert self._served_order(queue_size, misses) == expected
 
     def test_banks_overlap(self):
         e = Engine()

@@ -1,20 +1,15 @@
 """Tests for the allocation-rate machinery: pooled event records with
 generation stamps, the DRAMRequest free list and its reset() contract,
-hop-walk recycling in the memory network, the vectorized FR-FCFS pick,
 and MSHR-full structural parking (docs/performance.md)."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from repro.config import SystemConfig, ci_config
+from repro.config import ci_config
 from repro.faults import get_scenario
-from repro.memory.dram import DRAMTimingSM
-from repro.memory.vault import (VEC_PICK_THRESHOLD, DRAMRequest,
-                                DRAMRequestPool, DRAMStats, VaultController)
-from repro.network.fabric import MemoryNetwork
-from repro.sim.engine import Engine, LinkCounters
+from repro.memory.vault import DRAMRequest, DRAMRequestPool
+from repro.sim.engine import Engine
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_digest
 
@@ -124,73 +119,6 @@ class TestDRAMRequestPool:
         for p in pools:
             assert p.created + p.reused == p.released
             assert p.free == p.created
-
-
-class TestHopWalkRecycling:
-    def test_walk_recycled_and_reset_after_delivery(self):
-        e = Engine()
-        cfg = SystemConfig()
-        net = MemoryNetwork(e, cfg, LinkCounters())
-        delivered = []
-        net.send(0, 3, 128, lambda: delivered.append(e.now))
-        e.drain()
-        assert len(delivered) == 1
-        assert len(net._walks) == 1
-        walk = net._walks[0]
-        assert (walk.path, walk.hop, walk.size, walk.deliver) == \
-            (None, 0, 0, None)
-
-    def test_walks_reused_across_packets(self):
-        e = Engine()
-        cfg = SystemConfig()
-        net = MemoryNetwork(e, cfg, LinkCounters())
-        done = []
-        net.send(0, 3, 128, lambda: done.append("a"))
-        e.drain()
-        first = net._walks[0]
-        net.send(1, 2, 64, lambda: done.append("b"))
-        assert not net._walks       # the recycled record is in flight
-        e.drain()
-        assert done == ["a", "b"]
-        assert net._walks[0] is first
-
-
-class TestVectorizedPick:
-    def test_vec_matches_scalar_randomized(self):
-        # The numpy window scan must make the identical FR-FCFS decision
-        # as the Python loop for any bank/queue state -- the dispatch
-        # threshold can then never change a simulation result.
-        rng = np.random.default_rng(42)
-        e = Engine()
-        cfg = SystemConfig()
-        t = DRAMTimingSM.from_config(cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-                                     32)
-        for _ in range(200):
-            vault = VaultController(e, t, num_banks=16, stats=DRAMStats())
-            now = int(rng.integers(0, 150))
-            for bank in vault.banks:
-                bank.busy_until = int(rng.integers(0, 300))
-                if rng.random() < 0.5:
-                    bank.open_row = int(rng.integers(0, 4))
-            n = int(rng.integers(VEC_PICK_THRESHOLD, 64))
-            for _ in range(n):
-                vault.queue.append(DRAMRequest(
-                    0, False, None, bank=int(rng.integers(0, 16)),
-                    row=int(rng.integers(0, 4))))
-            assert (vault._pick_index_scalar(now, n)
-                    == vault._pick_index_vec(now, n))
-
-    def test_dispatch_uses_vec_only_above_threshold(self):
-        e = Engine()
-        cfg = SystemConfig()
-        t = DRAMTimingSM.from_config(cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-                                     32)
-        vault = VaultController(e, t, num_banks=16, stats=DRAMStats())
-        for _ in range(3):
-            vault.queue.append(DRAMRequest(0, False, None, bank=0, row=0))
-        # tiny window: must take the scalar path (numpy setup would
-        # dominate) and still pick the oldest request
-        assert vault._pick_index(0) == (0, 0)
 
 
 class TestStructuralParking:
