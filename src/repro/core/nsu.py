@@ -217,20 +217,6 @@ class NSU:
         return bool(self.ready)
 
     @property
-    def quiescent(self) -> bool:
-        """True when a tick could only burn occupancy accounting: no warp
-        instruction is streaming through the datapath and nothing is ready
-        to issue.  The active scheduler replaces such ticks with an exactly
-        equivalent :meth:`account_idle` call (``cycles`` and
-        ``occupancy_sum`` advance identically; nothing else moves)."""
-        return self._busy_subcycles == 0 and not self.ready
-
-    def next_wake(self) -> int | None:
-        """Earliest cycle this NSU can make progress on its own, or ``None``
-        when only a delivery (read data, WTA, command, write ack) can."""
-        return None if self.quiescent else self.engine.now + 1
-
-    @property
     def idle(self) -> bool:
         return not self.warps and not self.cmd_queue
 

@@ -151,8 +151,5 @@ class MSHRFile:
             cb()
         return len(waiters)
 
-    def outstanding(self, line_addr: int) -> bool:
-        return line_addr in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)

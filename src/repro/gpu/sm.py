@@ -31,6 +31,12 @@ from repro.sim.results import StallBreakdown
 #: Maximum scheduler attempts per cycle before declaring a no-issue cycle.
 MAX_ISSUE_ATTEMPTS = 4
 
+#: Per-cycle L1 counter cost of a failed issue attempt that the next
+#: cycle repeats unchanged: an MSHR-full retry is one L1 miss plus one
+#: MSHR reject, an inflight-cap spin touches no counter.  Any other
+#: failed status may change state, so it ends the spin.
+_SPIN_COST = {"retry": 1, "cap": 0}
+
 #: SFU (transcendental) latency in SM cycles.
 SFU_LATENCY = 16
 #: Scratchpad access latency in SM cycles.
@@ -72,6 +78,10 @@ class SM:
         self.ready: dict[int, Warp] = {}
         self.dep_count = 0
         self.current: Warp | None = None    # greedy-then-oldest anchor
+        # Summed ``_SPIN_COST`` of the last tick that issued nothing, or
+        # ``None`` if one of its attempts was not a pure spin.  The active
+        # scheduler parks the SM on it.
+        self.spin_cost: int | None = None
 
         # Per-memory-instruction replay state (partial structural rejects).
         self._acc_cursor: dict[int, int] = {}
@@ -124,7 +134,7 @@ class SM:
         warp.block_on_reg(reg)
         self.dep_count += 1
         if ready_at != INFLIGHT:
-            self.engine.call_at(ready_at, self._timed_wake, warp, reg)
+            self.engine.at(ready_at, self._timed_wake, warp, reg)
 
     def _timed_wake(self, warp: Warp, reg: int) -> None:
         if warp.state is WarpState.DEP and warp.waiting_reg == reg:
@@ -152,6 +162,7 @@ class SM:
 
     def _issue(self) -> bool:
         attempts = 0
+        cost = 0
         cur = self.current
         # GTO: stick with the current warp while it can issue.
         if (self.scheduler == "gto" and cur is not None
@@ -160,6 +171,7 @@ class SM:
             if status == "issued":
                 return True
             attempts += 1
+            cost = _SPIN_COST.get(status)
         for wid in list(self.ready):
             if attempts >= MAX_ISSUE_ATTEMPTS:
                 break
@@ -175,6 +187,9 @@ class SM:
                     self.ready.pop(warp.wid)
                     self.ready[warp.wid] = warp
                 return True
+            c = _SPIN_COST.get(status)
+            cost = None if c is None or cost is None else cost + c
+        self.spin_cost = cost
         return False
 
     def _classify_no_issue(self, cycles: int) -> None:
@@ -201,93 +216,6 @@ class SM:
     def can_issue_now(self) -> bool:
         return bool(self.ready) or (
             bool(self.pending_traces) and len(self.warps) < self.warps_per_sm)
-
-    # -- structural-reject parking (active scheduler) -------------------------
-
-    def _probe_struct(self, warp: Warp, now: int) -> int | None:
-        """Would ``_try_issue(warp)`` be a pure structural load reject
-        this cycle?  Returns ``None`` if the attempt could make progress
-        or have any side effect, else the attempt's per-cycle counter
-        cost: ``1`` for an MSHR-full retry (one L1 miss + one MSHR
-        reject), ``0`` for an inflight-cap spin (no counters touched).
-        Strictly side-effect-free -- a shadow of the issue path."""
-        item = warp.current_item()
-        if item is None:
-            return None                    # would finish the warp
-        if isinstance(item, DynBlock):
-            if warp.mode != "inline":
-                # Offload decision / packet-generation paths have side
-                # effects (decider state, NDP credits); never elide them.
-                return None
-            instr = item.block.instrs[warp.sub_pc]
-            accesses = (item.mem_accesses[warp.mem_seq]
-                        if instr.is_mem else ())
-        else:
-            instr = item.instr
-            accesses = item.accesses
-        reads = instr.reads
-        if reads and warp.srcs_ready_at(reads) > now:
-            return None                    # would block on a dependency
-        if instr.op is not Opcode.LD or not accesses:
-            return None                    # would issue
-        replay = self._replays.get(warp.wid)
-        if replay is None:
-            if warp.inflight_loads >= self.max_inflight_loads:
-                return 0                   # cap spin: rejected pre-counters
-            return None                    # would create a replay and pump
-        if self.memsys.l1_would_reject(self.sm_id,
-                                       replay.remaining[0].line_addr):
-            return 1                       # MSHR-full retry: miss + reject
-        return None                        # pump would make progress
-
-    def struct_park_probe(self) -> int | None:
-        """Shadow-walk this cycle's issue attempt order: if *every* warp
-        the scheduler would try is a pure structural load reject, return
-        the summed per-cycle counter cost (the active scheduler parks the
-        SM and replays ``cost`` L1 misses + MSHR rejects per elided cycle
-        on wake); otherwise return ``None``.
-
-        Mirrors :meth:`_issue` exactly -- GTO current-warp-first, ready
-        insertion order, the ``MAX_ISSUE_ATTEMPTS`` cap -- because the
-        elided cycles must be bit-identical to the legacy scheduler's
-        real retry cycles (docs/performance.md).
-        """
-        if self.pending_traces and len(self.warps) < self.warps_per_sm:
-            return None                    # _launch would make progress
-        ready = self.ready
-        if not ready:
-            return None                    # ordinary idle-park path applies
-        now = self.engine.now
-        cost = 0
-        attempts = 0
-        cur = self.current
-        gto = self.scheduler == "gto"
-        if gto and cur is not None and cur.wid in ready:
-            c = self._probe_struct(cur, now)
-            if c is None:
-                return None
-            cost += c
-            attempts += 1
-        for wid in ready:
-            if attempts >= MAX_ISSUE_ATTEMPTS:
-                break
-            warp = ready[wid]
-            if gto and warp is cur:
-                continue
-            c = self._probe_struct(warp, now)
-            if c is None:
-                return None
-            cost += c
-            attempts += 1
-        return cost
-
-    def next_wake(self) -> int | None:
-        """Earliest cycle this SM can make progress on its own: ``now + 1``
-        while it holds issuable (or structurally-rejected, hence retrying)
-        work, else ``None`` -- only an external event (fill, ACK, timed
-        dependency release, recovery fallback) can change that, and every
-        such path reports through :attr:`waker`."""
-        return self.engine.now + 1 if self.can_issue_now else None
 
     def metrics_snapshot(self) -> dict:
         """Counters/gauges published into the metrics registry."""
@@ -493,13 +421,13 @@ class SM:
         replay = self._replays.get(warp.wid)
         if replay is None:
             if warp.inflight_loads >= self.max_inflight_loads:
-                return "struct"
+                return "cap"
             replay = _MemReplay(warp, instr.dst, accesses)
             self._replays[warp.wid] = replay
             warp.inflight_loads += 1
         sent_all = replay.pump(self)
         if not sent_all:
-            return "struct"
+            return "retry"             # L1 MSHR file full
         # All line requests of this load are out.
         del self._replays[warp.wid]
         replay.commit(self)

@@ -2,7 +2,7 @@
 
 The dense-suite optimization work (docs/performance.md, "Allocation-rate
 engineering") replaced per-event closures with pooled event records that
-carry at most two bound arguments (``Engine.call_at``/``call_after``).
+carry at most two bound arguments (``Engine.at``/``after``).
 A closure or nested function created on the hot path re-introduces
 exactly the per-event allocation the slab removed -- and nothing but a
 lint rule would notice, because the code still behaves identically.
@@ -100,7 +100,7 @@ class HotPathAllocationRule(Rule):
     description = ("closure/lambda/partial constructed on the simulator "
                    "hot path (engine event loop, Link.send, tick() "
                    "methods); bind arguments into the pooled event "
-                   "record (call_at/call_after) or "
+                   "record (at/after bound arguments) or "
                    "annotate the site '# perf: alloc-ok -- why'")
     scope = ("repro.sim", "repro.gpu", "repro.memory", "repro.network",
              "repro.core")

@@ -297,14 +297,12 @@ class VaultController:
                 # response would have arrived and may reissue; the rest
                 # rely on their own watchdogs.
                 if req.on_lost is not None:
-                    self.engine.call_at(ready + req.extra_latency,
-                                        self._lost, req)
+                    self.engine.at(ready + req.extra_latency, self._lost, req)
                 elif req.pooled:
                     # Nobody will hear about this request again; recycle.
                     self.pool.release(req)
                 continue
-            self.engine.call_at(ready + req.extra_latency,
-                                self._complete, req)
+            self.engine.at(ready + req.extra_latency, self._complete, req)
         # queue drained; nothing to schedule
 
     # -- completion ----------------------------------------------------------

@@ -29,20 +29,16 @@ _NOARG = object()
 class _EventRecord:
     """A pooled, reusable event.
 
-    Records are recycled through the engine's free list after they fire
-    (or after their tombstone drains), so steady-state scheduling does no
-    allocation.  ``gen`` is a generation stamp: it increments on every
-    recycle, so a stale handle held by a caller can never cancel (or
-    observe) a later tenant of the same record -- see :meth:`Engine.cancel`.
+    Records are recycled through the engine's free list after they fire,
+    so steady-state scheduling does no allocation.
     """
 
-    __slots__ = ("fn", "a", "b", "gen")
+    __slots__ = ("fn", "a", "b")
 
     def __init__(self) -> None:
         self.fn: Callable | None = None
         self.a = _NOARG
         self.b = _NOARG
-        self.gen = 0
 
 
 class Engine:
@@ -56,10 +52,10 @@ class Engine:
     ``seq`` is a global scheduling counter, so events due in the same
     cycle run in the order they were scheduled.
 
-    Hot callers avoid per-event closure allocation with
-    :meth:`call_at` / :meth:`call_after`, which bind up to two positional
-    arguments directly into the pooled record and hand back a cancellable
-    ``(record, generation)`` handle.
+    Hot callers avoid per-event closure allocation by passing up to two
+    positional arguments to :meth:`at` / :meth:`after`; they are bound
+    directly into the pooled record.  Every path funnels through
+    :meth:`_schedule`.
     """
 
     def __init__(self) -> None:
@@ -71,12 +67,11 @@ class Engine:
         self._seq = 0
         self.events_processed = 0
         self.events_recycled = 0
-        self.events_cancelled = 0
         self.subcycle_delays = 0
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, time: int, fn: Callable, a, b) -> _EventRecord:
+    def _schedule(self, time: int, fn: Callable, a, b) -> None:
         now = self.now
         if time < now:
             raise ValueError(f"cannot schedule at {time} < now {now}")
@@ -90,14 +85,16 @@ class Engine:
         rec.a = a
         rec.b = b
         heapq.heappush(self._events, (time, self._seq, rec))
-        return rec
 
-    def at(self, time: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run at absolute cycle ``time``."""
-        self._schedule(int(time), fn, _NOARG, _NOARG)
+    def at(self, time: int, fn: Callable, a=_NOARG, b=_NOARG) -> None:
+        """Schedule ``fn`` to run at absolute cycle ``time``; ``a`` and
+        ``b``, when given, are passed to it as positional arguments."""
+        self._schedule(int(time), fn, a, b)
 
-    def after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` cycles from now (ceil'd).
+    def after(self, delay: float, fn: Callable, a=_NOARG,
+              b=_NOARG) -> None:
+        """Schedule ``fn`` (with up to two bound arguments, as in
+        :meth:`at`) to run ``delay`` cycles from now (ceil'd).
 
         ``delay`` must be positive: a zero (or negative) delay would land
         the callback at ``now``, and whether it still runs this cycle then
@@ -109,8 +106,7 @@ class Engine:
         ``subcycle_delays`` so a misconverted clock ratio surfaces in the
         metrics summary instead of silently compressing to zero latency.
         """
-        self._schedule(self.now + self._ceil_delay(delay), fn,
-                       _NOARG, _NOARG)
+        self._schedule(self.now + self._ceil_delay(delay), fn, a, b)
 
     def _ceil_delay(self, delay: float) -> int:
         if delay <= 0:
@@ -121,47 +117,7 @@ class Engine:
             self.subcycle_delays += 1
         return math.ceil(delay)
 
-    def call_at(self, time: int, fn: Callable, a=_NOARG,
-                b=_NOARG) -> tuple[_EventRecord, int]:
-        """Like :meth:`at`, but binds up to two positional arguments into
-        the pooled event record -- the allocation-free form hot callers use
-        instead of constructing a closure per event.  Returns a
-        ``(record, generation)`` handle accepted by :meth:`cancel`."""
-        rec = self._schedule(int(time), fn, a, b)
-        return rec, rec.gen
-
-    def call_after(self, delay: float, fn: Callable, a=_NOARG,
-                   b=_NOARG) -> tuple[_EventRecord, int]:
-        """Argument-binding form of :meth:`after`; see :meth:`call_at`."""
-        rec = self._schedule(self.now + self._ceil_delay(delay), fn, a, b)
-        return rec, rec.gen
-
-    def cancel(self, rec: _EventRecord, gen: int) -> bool:
-        """Tombstone a scheduled event via its ``(record, generation)``
-        handle.  Returns ``True`` if the event was live and is now dead.
-
-        No allocation and no queue surgery: the record stays in the heap
-        and is recycled when its time drains.  A stale handle -- the event
-        already fired, was already cancelled, or the record now serves a
-        later tenant -- is rejected by the generation stamp and this is a
-        no-op, so double-cancel and cancel-after-fire are always safe."""
-        if rec.gen != gen or rec.fn is None:
-            return False
-        rec.fn = None
-        rec.a = _NOARG
-        rec.b = _NOARG
-        self.events_cancelled += 1
-        return True
-
     # -- dispatch ------------------------------------------------------------
-
-    def _recycle(self, rec: _EventRecord) -> None:
-        rec.gen += 1
-        rec.fn = None
-        rec.a = _NOARG
-        rec.b = _NOARG
-        self._free.append(rec)
-        self.events_recycled += 1
 
     def process_due(self) -> int:
         """Run all events scheduled at or before the current cycle, in
@@ -169,20 +125,23 @@ class Engine:
         now = self.now
         n = 0
         heap = self._events
+        free = self._free
         while heap and heap[0][0] <= now:
             rec = heapq.heappop(heap)[2]
-            fn = rec.fn
-            if fn is not None:
-                a = rec.a
-                if a is _NOARG:
-                    fn()
-                elif rec.b is _NOARG:
-                    fn(a)
-                else:
-                    fn(a, rec.b)
-                n += 1
-            self._recycle(rec)
+            a = rec.a
+            if a is _NOARG:
+                rec.fn()
+            elif rec.b is _NOARG:
+                rec.fn(a)
+            else:
+                rec.fn(a, rec.b)
+            rec.fn = None
+            rec.a = _NOARG
+            rec.b = _NOARG
+            free.append(rec)
+            n += 1
         self.events_processed += n
+        self.events_recycled += n
         return n
 
     def next_event_time(self) -> int | None:
@@ -190,8 +149,7 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Scheduled-but-undrained events (tombstoned cancellations count
-        until their time passes -- they still bound fast-forward)."""
+        """Scheduled-but-undrained events."""
         return len(self._events)
 
     def metrics_snapshot(self) -> dict:
@@ -199,7 +157,6 @@ class Engine:
         return {"cycle": self.now, "pending_events": self.pending,
                 "events_processed": self.events_processed,
                 "events_recycled": self.events_recycled,
-                "events_cancelled": self.events_cancelled,
                 # read by perfbench/layers.py; there is no calendar lane
                 "calendar_events": 0,
                 "event_pool_free": len(self._free),
@@ -226,21 +183,18 @@ class WakeQueue:
     settled yet -- the scheduler uses that stamp to classify the slept
     cycles in bulk when the member wakes (see docs/performance.md).
 
-    A timed lane lets callers pre-book a future wake (``wake_at``); the
-    driver folds :meth:`next_time` into its fast-forward target and pops
-    due entries each cycle.  Entries for members that woke early are
-    invalidated lazily -- a spurious wake is harmless by design, because a
-    woken component that cannot make progress simply re-parks after one
-    ordinary (fully accounted) tick.
+    Every wake comes from an engine event (fill, timed dependency release,
+    offload ACK, recovery fallback), so the queue keeps no timers of its
+    own.  A spurious wake is harmless by design: a woken component that
+    cannot make progress simply re-parks after one ordinary (fully
+    accounted) tick.
     """
 
     def __init__(self, size: int) -> None:
         if size < 0:
             raise ValueError("size must be non-negative")
-        self._size = size
         self._active: list[int] = list(range(size))   # sorted member ids
         self._since: dict[int, int] = {}   # parked id -> first unsettled cycle
-        self._timed: list[tuple[int, int]] = []       # (cycle, id) min-heap
 
     @property
     def active(self) -> list[int]:
@@ -276,28 +230,6 @@ class WakeQueue:
         if idx not in self._since:
             raise KeyError(f"member {idx} is not parked")
         self._since[idx] = since
-
-    # -- timed lane ----------------------------------------------------------
-
-    def wake_at(self, idx: int, cycle: int) -> None:
-        """Book a future wake for ``idx`` at ``cycle`` (lazy-invalidated)."""
-        heapq.heappush(self._timed, (int(cycle), idx))
-
-    def pop_due(self, now: int) -> list[int]:
-        """Parked members whose booked wake time has arrived (deduplicated,
-        pop order).  Stale entries (member already active) are discarded."""
-        due: list[int] = []
-        while self._timed and self._timed[0][0] <= now:
-            _, idx = heapq.heappop(self._timed)
-            if idx in self._since and idx not in due:
-                due.append(idx)
-        return due
-
-    def next_time(self) -> int | None:
-        """Earliest booked wake of a still-parked member, or ``None``."""
-        while self._timed and self._timed[0][1] not in self._since:
-            heapq.heappop(self._timed)
-        return self._timed[0][0] if self._timed else None
 
 
 class RateAccumulator:

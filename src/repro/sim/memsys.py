@@ -129,23 +129,8 @@ class GPUMemSystem:
         self._xbar_free[part] = start + XBAR_SLOT
         delay = int(start) - now + XBAR_LATENCY
         self.xbar_queue_cycles += int(start) - now
-        self.engine.call_after(delay, self._l2_access, sm_id, line)
+        self.engine.after(delay, self._l2_access, sm_id, line)
         return True
-
-    def l1_would_reject(self, sm_id: int, line: int) -> bool:
-        """Side-effect-free pre-probe of the :meth:`load` admission path:
-        True iff a load of ``line`` from SM ``sm_id`` would be
-        structurally rejected right now (L1 miss + no outstanding MSHR
-        entry to merge into + MSHR file full).  Touches no counters and
-        no LRU state -- the active scheduler's park probe uses it to
-        decide whether a retry loop is pure spin (docs/performance.md).
-        """
-        if self.l1[sm_id].contains(line):
-            return False
-        mshr = self.l1_mshr[sm_id]
-        if mshr.outstanding(line):
-            return False
-        return len(mshr) >= mshr.num_entries
 
     def replay_struct_rejects(self, sm_id: int, count: int) -> None:
         """Account ``count`` elided MSHR-full retry attempts exactly as
@@ -161,8 +146,7 @@ class GPUMemSystem:
         part = self.amap.hmc_of(line * LINE_SIZE)
         l2 = self.l2[part]
         if l2.lookup(line):
-            self.engine.call_after(self.l2_latency, self._fill_l1,
-                                   sm_id, line)
+            self.engine.after(self.l2_latency, self._fill_l1, sm_id, line)
             return
         status = self.l2_mshr[part].allocate(
             line, lambda: self._fill_l1(sm_id, line))

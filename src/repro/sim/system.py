@@ -400,7 +400,6 @@ class System:
         # whole subsystem exists to shrink.
         now = engine.now
         act = wq._active       # mutated in place by park/wake; identity stable
-        timed = wq._timed
         sm_ticks = 0
         stepped = 0
         fast_forwarded = 0
@@ -412,9 +411,6 @@ class System:
                     ndp.poll_watchdogs(now)
                 if mem_rec:
                     memsys.poll_watchdogs(now)
-                if timed:
-                    for idx in wq.pop_due(now):
-                        wake_sm(sms[idx])
 
                 n_act = len(act)
                 if n_act:
@@ -434,11 +430,12 @@ class System:
                             else:
                                 parks.append(idx)
                         elif not issued:
-                            # Retry loop?  If every warp the scheduler
-                            # would try next cycle is a pure structural
-                            # load reject, park and replay the elided
-                            # cycles' counters at wake time.
-                            cost = sm.struct_park_probe()
+                            # Retry loop?  If every attempt this tick was
+                            # a pure structural load reject, the next
+                            # cycle repeats it until a fill or a load
+                            # completion wakes the SM: park and replay
+                            # the elided cycles' counters at wake time.
+                            cost = sm.spin_cost
                             if cost is not None:
                                 if struct_parks is None:
                                     struct_parks = [(idx, cost)]
@@ -515,9 +512,6 @@ class System:
                         wd = memsys.next_watchdog_deadline()
                         if wd is not None and (nt is None or wd < nt):
                             nt = wd
-                    wt = wq.next_time()
-                    if wt is not None and (nt is None or wt < nt):
-                        nt = wt
                     if nt is None:
                         settle(now)
                         raise SimulationTimeout(

@@ -189,24 +189,3 @@ class TestWakeQueue:
         assert wq.asleep_items() == [(0, 20)]
         with pytest.raises(KeyError):
             wq.set_since(1, 20)
-
-    def test_timed_lane_pops_due_and_dedups(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(3)
-        wq.park(0, since=0)
-        wq.park(1, since=0)
-        wq.wake_at(0, 10)
-        wq.wake_at(0, 12)          # duplicate booking, same member
-        wq.wake_at(1, 30)
-        assert wq.pop_due(9) == []
-        assert wq.pop_due(15) == [0]
-        assert wq.next_time() == 30
-
-    def test_timed_lane_skips_already_active(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(2)
-        wq.park(0, since=0)
-        wq.wake_at(0, 10)
-        wq.wake(0)                 # woke early; booking is now stale
-        assert wq.pop_due(10) == []
-        assert wq.next_time() is None
