@@ -72,7 +72,7 @@ def test_vault_frfcfs_throughput(benchmark):
         vault = VaultController(e, timing, 16, stats)
         rng = np.random.default_rng(1)
         for i in range(2_000):
-            vault.submit(DRAMRequest(i, bool(i % 7 == 0), lambda r: None,
+            vault.submit(DRAMRequest(bool(i % 7 == 0), lambda: None,
                                      bank=int(rng.integers(16)),
                                      row=int(rng.integers(64))))
         e.drain()

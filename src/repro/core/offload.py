@@ -347,8 +347,8 @@ class NDPController:
 
             def at_owner() -> None:
                 self.hmcs[owner].access_line(
-                    acc.line_addr, False,
-                    lambda r: route_response(), noc_bytes=LINE_SIZE)
+                    acc.line_addr, False, route_response,
+                    noc_bytes=LINE_SIZE)
 
             def route_response() -> None:
                 if self.trace is not None:
@@ -497,9 +497,8 @@ class NDPController:
                               f"line {acc.line_addr:#x}")
 
         def do_write() -> None:
-            self.hmcs[owner].access_line(
-                acc.line_addr, True, lambda r: on_written(),
-                noc_bytes=size)
+            self.hmcs[owner].access_line(acc.line_addr, True, on_written,
+                                         noc_bytes=size)
 
         def on_written() -> None:
             self._send_invalidation(owner, acc.line_addr)

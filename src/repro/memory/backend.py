@@ -9,9 +9,10 @@ controller, or the GPU memory path:
 
 * **address map** -- how lines spread across devices and their internal
   channels (:meth:`MemoryBackend.make_address_map`);
-* **device build** -- the per-device stack objects, each honouring the
-  de-facto stack interface (``access_line`` / ``queue_occupancy`` /
-  ``metrics_snapshot`` / ``stats`` / ``vaults`` / ``nsu``);
+* **device geometry** -- every backend's devices are
+  :class:`~repro.memory.hmc.HMCStack` objects built from the backend's
+  DRAM timing, vault (channel) count, queue depth and response hop
+  (:meth:`MemoryBackend.device`);
 * **link geometry** -- host-link bandwidth/latency per direction and the
   inter-device fabric rate (:meth:`gpu_link_kwargs`,
   :meth:`mem_link_bpc`);
@@ -69,9 +70,21 @@ class MemoryBackend:
     def make_address_map(self, cfg: SystemConfig) -> AddressMap:
         return AddressMap(cfg)
 
+    def device(self, cfg: SystemConfig) -> tuple:
+        """The geometry :class:`~repro.memory.hmc.HMCStack` builds one
+        device from: ``(dram_timing, bus_bytes_per_dram_cycle, vaults,
+        banks_per_vault, queue_size, access_latency)``.
+        ``access_latency`` is the response hop after each DRAM access --
+        here the 4-cycle logic-layer NoC traversal."""
+        h = cfg.hmc
+        return (h.timing, h.vault_bus_bytes_per_dram_cycle, h.num_vaults,
+                h.banks_per_vault, h.vault_queue_size, 4)
+
     def build_stacks(self, engine, cfg: SystemConfig, amap: AddressMap,
                      counters) -> list:
-        raise NotImplementedError
+        from repro.memory.hmc import HMCStack
+        return [HMCStack(engine, cfg, i, amap, counters)
+                for i in range(cfg.num_hmcs)]
 
     def gpu_link_kwargs(self, cfg: SystemConfig) -> dict:
         """Keyword overrides for :class:`~repro.network.fabric.GPULinks`
@@ -126,12 +139,6 @@ class HMCBackend(MemoryBackend):
     name = "hmc"
     internal_noc = True
 
-    def build_stacks(self, engine, cfg: SystemConfig, amap: AddressMap,
-                     counters) -> list:
-        from repro.memory.hmc import HMCStack
-        return [HMCStack(engine, cfg, i, amap, counters)
-                for i in range(cfg.num_hmcs)]
-
 
 class CXLBackend(MemoryBackend):
     """CXL memory expanders: asymmetric host links, no intra-device NoC,
@@ -156,11 +163,12 @@ class CXLBackend(MemoryBackend):
                           banks_per_vault=cfg.cxl.banks_per_channel,
                           row_bytes=cfg.cxl.row_bytes)
 
-    def build_stacks(self, engine, cfg: SystemConfig, amap: AddressMap,
-                     counters) -> list:
-        from repro.memory.cxl import CXLExpander
-        return [CXLExpander(engine, cfg, i, amap, counters)
-                for i in range(cfg.num_hmcs)]
+    def device(self, cfg: SystemConfig) -> tuple:
+        # DDR5-class channels directly behind the expander port: no NoC
+        # to traverse, the port hop only.
+        x = cfg.cxl
+        return (x.timing, x.channel_bus_bytes_per_dram_cycle, x.num_channels,
+                x.banks_per_channel, x.channel_queue_size, x.port_latency)
 
     def gpu_link_kwargs(self, cfg: SystemConfig) -> dict:
         down, up = cfg.cxl.host_link_bytes_per_sm_cycle(

@@ -1,11 +1,18 @@
-"""One HMC stack: 16 vault controllers behind a logic-layer NoC.
+"""One NDP memory device: vault controllers behind a fixed response hop.
 
-The logic layer receives packets from the stack's off-chip links (from the
-GPU or from peer stacks over the memory network), routes memory requests to
-the owning vault, and forwards responses.  The intra-HMC NoC hop is modelled
-as a small fixed latency plus byte accounting (it is generously provisioned
-in the HMC and never the bottleneck, but its traffic costs energy --
-Figure 10 has an "Intra-HMC NoC" component).
+The paper's device is an HMC stack: the logic layer receives packets from
+the stack's off-chip links (from the GPU or from peer stacks over the
+memory network), routes memory requests to the owning vault, and forwards
+responses.  The intra-HMC NoC hop is modelled as a small fixed latency
+plus byte accounting (it is generously provisioned in the HMC and never
+the bottleneck, but its traffic costs energy -- Figure 10 has an
+"Intra-HMC NoC" component).
+
+Every backend builds this same class; only the geometry differs.  The
+backend's :meth:`~repro.memory.backend.MemoryBackend.device` hook supplies
+the DRAM timing, vault (channel) count, queue depth and response hop, and
+its ``internal_noc`` flag says whether NoC bytes are charged at all (a CXL
+expander's channels sit directly behind its port, so it charges none).
 """
 
 from __future__ import annotations
@@ -15,66 +22,60 @@ from typing import Callable
 from repro.config import LINE_SIZE, SystemConfig
 from repro.memory.address import AddressMap
 from repro.memory.dram import DRAMTimingSM
-from repro.memory.vault import (DRAMRequest, DRAMRequestPool, DRAMStats,
-                                VaultController, make_vaults)
+from repro.memory.vault import DRAMRequestPool, DRAMStats, VaultController
 from repro.sim.engine import Engine, LinkCounters
-
-#: Fixed logic-layer NoC traversal latency (SM cycles).
-NOC_LATENCY = 4
 
 
 class HMCStack:
-    """Vaults + logic-layer routing for one stack."""
+    """Vaults + response routing for one memory device."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig, hmc_id: int,
                  amap: AddressMap, counters: LinkCounters) -> None:
+        from repro.memory.backend import resolve_backend
+        backend = resolve_backend(cfg.backend)
+        (timing_cfg, bus_bytes, num_vaults, banks, queue_size,
+         access_latency) = backend.device(cfg)
         self.engine = engine
         self.cfg = cfg
         self.hmc_id = hmc_id
         self.amap = amap
         self.counters = counters
+        self.internal_noc = backend.internal_noc
         self.stats = DRAMStats()
-        timing = DRAMTimingSM.from_config(
-            cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-            cfg.hmc.vault_bus_bytes_per_dram_cycle)
-        self.timing = timing
+        self.timing = timing = DRAMTimingSM.from_config(
+            timing_cfg, cfg.gpu.sm_clock_mhz, bus_bytes)
         # Request records are pool-recycled per stack (never shared across
-        # engines); vaults return them after the completion callback.
+        # engines); vaults return them once the access is serviced.
         self.pool = DRAMRequestPool()
-        self.vaults: list[VaultController] = make_vaults(
-            engine, timing, cfg.hmc.num_vaults, cfg.hmc.banks_per_vault,
-            self.stats, cfg.hmc.vault_queue_size, f"hmc{hmc_id}",
-            pool=self.pool)
+        self.vaults = [
+            VaultController(engine, timing, banks, self.stats, queue_size,
+                            pool=self.pool, access_latency=access_latency)
+            for _ in range(num_vaults)]
         # Attached by the system after construction:
         self.nsu = None
 
     # -- DRAM access --------------------------------------------------------
 
     def access_line(self, line_addr: int, is_write: bool,
-                    on_done: Callable[[DRAMRequest], None],
-                    meta: object = None,
+                    on_done: Callable[[], None],
                     noc_bytes: int = LINE_SIZE,
-                    on_lost: Callable[[DRAMRequest], None] | None = None,
-                    ) -> None:
-        """Access one cache line in this stack's DRAM.
+                    on_lost: Callable[[], None] | None = None) -> None:
+        """Access one cache line in this device's DRAM.
 
-        ``on_done`` fires when the data is available at the logic layer
+        ``on_done()`` fires when the data is available at the logic layer
         (read) or written (write).  ``noc_bytes`` is charged to the
-        intra-HMC NoC for the request+response traversal.  ``on_lost``
-        fires instead when an armed ``vault_read`` fault swallows the
-        read response (see :class:`~repro.memory.vault.DRAMRequest`).
+        intra-HMC NoC for the request+response traversal when the device
+        has one.  ``on_lost()`` fires instead when an armed ``vault_read``
+        fault swallows the read response.
         """
         if self.amap.hmc_of(line_addr * LINE_SIZE) != self.hmc_id:
             raise ValueError(
                 f"line {line_addr:#x} does not belong to HMC {self.hmc_id}")
-        vault_idx = self.amap.vault_of_line(line_addr)
+        if self.internal_noc:
+            self.counters.add("intra_hmc", noc_bytes)
         bank, row = self.amap.bank_row_of_line(line_addr)
-        self.counters.add("intra_hmc", noc_bytes)
-        req = self.pool.acquire(line_addr, is_write, on_done,
-                                bank=bank, row=row,
-                                extra_latency=NOC_LATENCY, meta=meta,
-                                on_lost=on_lost)
-        self.vaults[vault_idx].submit(req)
+        self.vaults[self.amap.vault_of_line(line_addr)].submit(
+            self.pool.acquire(is_write, on_done, bank, row, on_lost))
 
     # -- convenience --------------------------------------------------------
 
@@ -93,6 +94,6 @@ class HMCStack:
         return snap
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Aggregate vault-bus bandwidth (the stack's peak DRAM bandwidth)."""
+        """Aggregate vault-bus bandwidth (the device's peak DRAM bandwidth)."""
         per_vault = LINE_SIZE / max(self.timing.tCCD, self.timing.burst)
         return per_vault * len(self.vaults)

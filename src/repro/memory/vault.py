@@ -59,34 +59,27 @@ class DRAMRequest:
     """One line-granularity DRAM access.
 
     Slotted and pool-recycled: the stack's ingress path acquires records
-    from a :class:`DRAMRequestPool` and the vault returns them after the
-    completion callback fires.  ``pooled`` marks pool-owned records;
+    from a :class:`DRAMRequestPool` and the vault returns them as soon as
+    it has serviced the access and scheduled the no-argument ``on_done``
+    (or ``on_lost``) callback.  ``pooled`` marks pool-owned records;
     directly-constructed ones (tests, ad-hoc callers) are never recycled.
     """
 
-    line_addr: int
     is_write: bool
-    on_done: Callable[["DRAMRequest"], None] | None
-    arrival: int = 0
+    on_done: Callable[[], None] | None
     bank: int = 0
     row: int = 0
-    extra_latency: int = 0   # logic-layer NoC traversal after the access
-    meta: object = None
-    on_lost: Callable[["DRAMRequest"], None] | None = None  # loss notify
+    on_lost: Callable[[], None] | None = None  # loss notify
     pooled: bool = False
 
     def reset(self) -> None:
         """Restore construction defaults, so a recycled record is
-        field-for-field equal to ``DRAMRequest(0, False, None)`` (the
+        field-for-field equal to ``DRAMRequest(False, None)`` (the
         recycle invariant, docs/performance.md)."""
-        self.line_addr = 0
         self.is_write = False
         self.on_done = None
-        self.arrival = 0
         self.bank = 0
         self.row = 0
-        self.extra_latency = 0
-        self.meta = None
         self.on_lost = None
         self.pooled = False
 
@@ -109,30 +102,22 @@ class DRAMRequestPool:
         self.reused = 0
         self.released = 0
 
-    def acquire(self, line_addr: int, is_write: bool,
-                on_done: Callable[["DRAMRequest"], None], *,
-                bank: int = 0, row: int = 0, extra_latency: int = 0,
-                meta: object = None,
-                on_lost: Callable[["DRAMRequest"], None] | None = None,
-                ) -> DRAMRequest:
+    def acquire(self, is_write: bool, on_done: Callable[[], None] | None,
+                bank: int = 0, row: int = 0,
+                on_lost: Callable[[], None] | None = None) -> DRAMRequest:
         free = self._free
         if free:
             req = free.pop()
             self.reused += 1
-            req.line_addr = line_addr
             req.is_write = is_write
             req.on_done = on_done
             req.bank = bank
             req.row = row
-            req.extra_latency = extra_latency
-            req.meta = meta
             req.on_lost = on_lost
             req.pooled = True
             return req
         self.created += 1
-        return DRAMRequest(line_addr, is_write, on_done, bank=bank, row=row,
-                           extra_latency=extra_latency, meta=meta,
-                           on_lost=on_lost, pooled=True)
+        return DRAMRequest(is_write, on_done, bank, row, on_lost, True)
 
     def release(self, req: DRAMRequest) -> None:
         if not req.pooled:
@@ -153,12 +138,18 @@ class DRAMRequestPool:
 
 
 class VaultController:
-    """One vault: request queue + FR-FCFS bank scheduler + data bus."""
+    """One vault: request queue + FR-FCFS bank scheduler + data bus.
+
+    ``access_latency`` is the device's response hop after each DRAM
+    access (the HMC logic-layer NoC, the CXL expander port); completions
+    fire that many cycles after the data is ready.
+    """
 
     def __init__(self, engine: Engine, timing: DRAMTimingSM,
                  num_banks: int, stats: DRAMStats,
-                 queue_size: int = 64, name: str = "vault",
-                 pool: DRAMRequestPool | None = None) -> None:
+                 queue_size: int = 64,
+                 pool: DRAMRequestPool | None = None,
+                 access_latency: int = 0) -> None:
         self.engine = engine
         self.timing = timing
         self.banks = [BankState() for _ in range(num_banks)]
@@ -166,7 +157,7 @@ class VaultController:
         self.stats = stats
         self.queue: deque[DRAMRequest] = deque()
         self.queue_size = queue_size
-        self.name = name
+        self.access_latency = access_latency
         self.bus_free_at = 0
         self.faults = None   # armed by the system when a plan is active
         self._wakeup_scheduled_at: int | None = None
@@ -185,7 +176,6 @@ class VaultController:
         correctness argument depends on, are modelled exactly in
         ``repro.core``).
         """
-        req.arrival = self.engine.now
         self.queue.append(req)
         self.stats.queue_peak = max(self.stats.queue_peak, len(self.queue))
         self._schedule_wakeup(self.engine.now)
@@ -297,33 +287,11 @@ class VaultController:
                 # response would have arrived and may reissue; the rest
                 # rely on their own watchdogs.
                 if req.on_lost is not None:
-                    self.engine.at(ready + req.extra_latency, self._lost, req)
-                elif req.pooled:
-                    # Nobody will hear about this request again; recycle.
-                    self.pool.release(req)
-                continue
-            self.engine.at(ready + req.extra_latency, self._complete, req)
+                    self.engine.at(ready + self.access_latency, req.on_lost)
+            else:
+                self.engine.at(ready + self.access_latency, req.on_done)
+            # The callback is bound into the event record, so nothing
+            # reads the request again: recycle it now.
+            if req.pooled:
+                self.pool.release(req)
         # queue drained; nothing to schedule
-
-    # -- completion ----------------------------------------------------------
-
-    def _complete(self, req: DRAMRequest) -> None:
-        req.on_done(req)
-        if req.pooled:
-            self.pool.release(req)
-
-    def _lost(self, req: DRAMRequest) -> None:
-        req.on_lost(req)
-        if req.pooled:
-            self.pool.release(req)
-
-
-def make_vaults(engine: Engine, timing: DRAMTimingSM, num_vaults: int,
-                num_banks: int, stats: DRAMStats, queue_size: int,
-                name_prefix: str,
-                pool: DRAMRequestPool | None = None) -> list[VaultController]:
-    return [
-        VaultController(engine, timing, num_banks, stats, queue_size,
-                        name=f"{name_prefix}.v{v}", pool=pool)
-        for v in range(num_vaults)
-    ]

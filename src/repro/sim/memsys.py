@@ -32,6 +32,11 @@ XBAR_LATENCY = 8
 XBAR_SLOT = 700.0 / 1250.0
 
 
+def _written() -> None:
+    """Completion of a write-through store: nobody waits on it, but its
+    event keeps the run alive until the write lands."""
+
+
 class _FetchState:
     """In-flight recoverable L2 fill: one per primary L2 miss.
 
@@ -170,8 +175,7 @@ class GPUMemSystem:
         resp_size = PacketSizes.mem_read_response()
 
         def at_hmc() -> None:
-            self.hmcs[part].access_line(line, False,
-                                        lambda r: send_response())
+            self.hmcs[part].access_line(line, False, send_response)
 
         def send_response() -> None:
             self.gpu_links.to_gpu(part, resp_size,
@@ -197,9 +201,8 @@ class GPUMemSystem:
             self._fetch_lost(part, line, attempt)
 
         def at_hmc() -> None:
-            self.hmcs[part].access_line(line, False,
-                                        lambda r: send_response(),
-                                        on_lost=lambda r: lost())
+            self.hmcs[part].access_line(line, False, send_response,
+                                        on_lost=lost)
 
         def send_response() -> None:
             self.gpu_links.to_gpu(part, resp_size,
@@ -302,7 +305,7 @@ class GPUMemSystem:
         self.store_bytes += size
         self.gpu_links.to_hmc(
             part, size,
-            lambda: self.hmcs[part].access_line(line, True, lambda r: None,
+            lambda: self.hmcs[part].access_line(line, True, _written,
                                                 noc_bytes=size))
         return True
 

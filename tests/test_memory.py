@@ -4,7 +4,8 @@ FR-FCFS vault scheduling."""
 import numpy as np
 import pytest
 
-from repro.config import LINE_SIZE, PAGE_SIZE, SystemConfig, ci_config
+from repro.config import (BACKEND_NAMES, LINE_SIZE, PAGE_SIZE, SystemConfig,
+                          ci_config)
 from repro.memory import (
     AddressMap,
     DRAMRequest,
@@ -13,6 +14,7 @@ from repro.memory import (
     HMCStack,
     VaultController,
 )
+from repro.memory.backend import resolve_backend
 from repro.memory.dram import BankState
 from repro.sim.engine import Engine, LinkCounters
 
@@ -131,7 +133,7 @@ class TestVaultController:
         e = Engine()
         vault, stats, t = _mk_vault(e)
         done = []
-        vault.submit(DRAMRequest(0, False, lambda r: done.append(e.now),
+        vault.submit(DRAMRequest(False, lambda: done.append(e.now),
                                  bank=0, row=0))
         e.drain()
         assert len(done) == 1
@@ -145,15 +147,14 @@ class TestVaultController:
         order = []
         # Open row 1 on bank 0 with a first access, then queue row-2
         # misses and a row-1 request behind them.
-        vault.submit(DRAMRequest(0, False, lambda r: order.append("warm"),
+        vault.submit(DRAMRequest(False, lambda: order.append("warm"),
                                  bank=0, row=1))
         e.drain()
         for i in range(misses):
-            vault.submit(DRAMRequest(1 + i, False,
-                                     lambda r, i=i: order.append(f"miss{i}"),
+            vault.submit(DRAMRequest(False,
+                                     lambda i=i: order.append(f"miss{i}"),
                                      bank=0, row=2))
-        vault.submit(DRAMRequest(1 + misses, False,
-                                 lambda r: order.append("hit"),
+        vault.submit(DRAMRequest(False, lambda: order.append("hit"),
                                  bank=0, row=1))
         e.drain()
         return order
@@ -184,8 +185,7 @@ class TestVaultController:
         vault, stats, t = _mk_vault(e)
         done = []
         for b in range(4):
-            vault.submit(DRAMRequest(b, False,
-                                     lambda r: done.append(e.now),
+            vault.submit(DRAMRequest(False, lambda: done.append(e.now),
                                      bank=b, row=0))
         e.drain()
         # Four independent banks: completion should be spaced by the data
@@ -196,8 +196,8 @@ class TestVaultController:
     def test_row_hit_rate_stat(self):
         e = Engine()
         vault, stats, t = _mk_vault(e)
-        for i in range(8):
-            vault.submit(DRAMRequest(i, False, lambda r: None, bank=0, row=0))
+        for _ in range(8):
+            vault.submit(DRAMRequest(False, lambda: None, bank=0, row=0))
         e.drain()
         assert stats.row_hits == 7
         assert stats.row_misses == 1
@@ -207,17 +207,19 @@ class TestVaultController:
         e = Engine()
         vault, stats, t = _mk_vault(e)
         for i in range(20):
-            vault.submit(DRAMRequest(i, False, lambda r: None,
+            vault.submit(DRAMRequest(False, lambda: None,
                                      bank=i % 16, row=i))
         assert stats.queue_peak == 20
         e.drain()
 
 
 class TestHMCStack:
-    def test_access_routes_to_owner_only(self):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_access_routes_to_owner_only(self, backend):
+        # Every backend builds an HMCStack; only the geometry differs.
         e = Engine()
-        cfg = ci_config()
-        amap = AddressMap(cfg)
+        cfg = ci_config().with_backend(backend)
+        amap = resolve_backend(backend).make_address_map(cfg)
         c = LinkCounters()
         stack = HMCStack(e, cfg, hmc_id=0, amap=amap, counters=c)
         # find a line owned by HMC 0
@@ -226,12 +228,48 @@ class TestHMCStack:
         wrong = next(l for l in range(10000)
                      if amap.hmc_of(l * LINE_SIZE) != 0)
         done = []
-        stack.access_line(line, False, lambda r: done.append(r.line_addr))
+        stack.access_line(line, False, lambda: done.append(line))
         with pytest.raises(ValueError):
-            stack.access_line(wrong, False, lambda r: None)
+            stack.access_line(wrong, False, lambda: None)
         e.drain()
         assert done == [line]
-        assert c.get("intra_hmc") == LINE_SIZE
+        if backend == "hmc":
+            assert c.get("intra_hmc") == LINE_SIZE
+        else:
+            # The expander's channels sit directly behind its port.
+            assert c.get("intra_hmc") == 0
+            assert len(stack.vaults) == cfg.cxl.num_channels
+
+    def test_serviced_record_is_reused_before_completion(self, monkeypatch):
+        # The vault releases a request as soon as it is serviced -- the
+        # callback is already bound into the completion event -- so an
+        # access arriving before that event fires reuses the record.
+        readies = []
+        access = BankState.access
+
+        def recording_access(bank, *args):
+            ready, activated = access(bank, *args)
+            readies.append(ready)
+            return ready, activated
+
+        monkeypatch.setattr(BankState, "access", recording_access)
+        e = Engine()
+        cfg = ci_config()
+        amap = AddressMap(cfg)
+        stack = HMCStack(e, cfg, 0, amap, LinkCounters())
+        line = next(l for l in range(10000)
+                    if amap.hmc_of(l * LINE_SIZE) == 0)
+        done = []
+        stack.access_line(line, False, lambda: done.append(("first", e.now)))
+        e.process_due()        # the vault services the access at cycle 0
+        assert done == [] and stack.pool.free == 1
+        stack.access_line(line, False, lambda: done.append(("second", e.now)))
+        e.drain()
+        assert (stack.pool.created, stack.pool.reused) == (1, 1)
+        hop = stack.vaults[0].access_latency
+        assert hop == 4
+        assert done == [("first", readies[0] + hop),
+                        ("second", readies[1] + hop)]
 
     def test_peak_bandwidth_near_spec(self):
         e = Engine()

@@ -110,8 +110,8 @@ class TestVaultProperties:
         e, vault = mk_vault()
         done = []
         for i, (bank, row, is_write) in enumerate(reqs):
-            vault.submit(DRAMRequest(i, is_write,
-                                     lambda r: done.append(r.line_addr),
+            vault.submit(DRAMRequest(is_write,
+                                     lambda i=i: done.append(i),
                                      bank=bank, row=row))
         e.drain()
         assert sorted(done) == list(range(len(reqs)))
@@ -123,9 +123,8 @@ class TestVaultProperties:
     def test_completion_with_refresh_enabled(self, reqs):
         e, vault = mk_vault(trefi=100)
         done = []
-        for i, (bank, row, is_write) in enumerate(reqs):
-            vault.submit(DRAMRequest(i, is_write,
-                                     lambda r: done.append(1),
+        for bank, row, is_write in reqs:
+            vault.submit(DRAMRequest(is_write, lambda: done.append(1),
                                      bank=bank, row=row))
         e.drain()
         assert len(done) == len(reqs)
@@ -136,8 +135,8 @@ class TestVaultProperties:
     def test_stats_conserved(self, reqs):
         e, vault = mk_vault()
         stats = vault.stats
-        for i, (bank, row) in enumerate(reqs):
-            vault.submit(DRAMRequest(i, False, lambda r: None,
+        for bank, row in reqs:
+            vault.submit(DRAMRequest(False, lambda: None,
                                      bank=bank, row=row))
         e.drain()
         assert stats.reads == len(reqs)

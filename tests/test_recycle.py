@@ -44,25 +44,24 @@ class TestDRAMRequestPool:
         # compares every field, so a field added without a reset() line
         # fails here.
         pool = DRAMRequestPool()
-        req = pool.acquire(0x1234, True, lambda r: None, bank=3, row=7,
-                           extra_latency=11, meta={"k": 1},
-                           on_lost=lambda r: None)
+        req = pool.acquire(True, lambda: None, bank=3, row=7,
+                           on_lost=lambda: None)
         pool.release(req)
-        assert req == DRAMRequest(0, False, None)
+        assert req == DRAMRequest(False, None)
 
     def test_acquire_reuses_released_records(self):
         pool = DRAMRequestPool()
-        req = pool.acquire(1, False, None)
+        req = pool.acquire(False, None)
         pool.release(req)
-        again = pool.acquire(2, True, None, bank=5)
+        again = pool.acquire(True, None, bank=5, row=9)
         assert again is req
-        assert (again.line_addr, again.is_write, again.bank) == (2, True, 5)
+        assert (again.is_write, again.bank, again.row) == (True, 5, 9)
         assert pool.metrics_snapshot() == {
             "created": 1, "reused": 1, "released": 1, "free": 0}
 
     def test_double_free_raises(self):
         pool = DRAMRequestPool()
-        req = pool.acquire(1, False, None)
+        req = pool.acquire(False, None)
         pool.release(req)
         with pytest.raises(ValueError, match="double-free"):
             pool.release(req)
@@ -72,7 +71,7 @@ class TestDRAMRequestPool:
         # pool-owned and must never enter the free list.
         pool = DRAMRequestPool()
         with pytest.raises(ValueError):
-            pool.release(DRAMRequest(1, False, None))
+            pool.release(DRAMRequest(False, None))
 
     def test_fault_replay_never_double_frees(self):
         # vault-read-loss exercises every release path: normal

@@ -25,7 +25,7 @@ class TestRefresh:
     def test_refresh_fires_periodically_under_load(self):
         e, vault, stats = mk_vault(trefi=100, trfc=20)
         for i in range(200):
-            vault.submit(DRAMRequest(i, False, lambda r: None,
+            vault.submit(DRAMRequest(False, lambda: None,
                                      bank=i % 16, row=i // 16))
         e.drain()
         assert stats.refreshes >= 2
@@ -33,13 +33,13 @@ class TestRefresh:
     def test_refresh_closes_rows(self):
         e, vault, stats = mk_vault(trefi=50, trfc=10)
         done = []
-        vault.submit(DRAMRequest(0, False, lambda r: done.append(1),
+        vault.submit(DRAMRequest(False, lambda: done.append(1),
                                  bank=0, row=7))
         e.drain()
         assert vault.banks[0].open_row == 7
         # Force a refresh by advancing past tREFI with another request.
         e.now = 60
-        vault.submit(DRAMRequest(1, False, lambda r: done.append(2),
+        vault.submit(DRAMRequest(False, lambda: done.append(2),
                                  bank=0, row=7))
         e.drain()
         assert stats.refreshes >= 1
@@ -50,7 +50,7 @@ class TestRefresh:
         e, vault, stats = mk_vault(trefi=0, trfc=0)
         vault._next_refresh = None
         for i in range(50):
-            vault.submit(DRAMRequest(i, False, lambda r: None,
+            vault.submit(DRAMRequest(False, lambda: None,
                                      bank=i % 16, row=0))
         e.drain()
         assert stats.refreshes == 0
@@ -58,7 +58,7 @@ class TestRefresh:
     def test_idle_backlog_not_replayed(self):
         e, vault, stats = mk_vault(trefi=10, trfc=5)
         e.now = 10_000          # vault idle for many intervals
-        vault.submit(DRAMRequest(0, False, lambda r: None, bank=0, row=0))
+        vault.submit(DRAMRequest(False, lambda: None, bank=0, row=0))
         e.drain()
         # One refresh, not a thousand.
         assert stats.refreshes == 1
@@ -67,7 +67,7 @@ class TestRefresh:
         e, vault, stats = mk_vault(trefi=30, trfc=15)
         done = []
         for i in range(64):
-            vault.submit(DRAMRequest(i, False, lambda r: done.append(1),
+            vault.submit(DRAMRequest(False, lambda: done.append(1),
                                      bank=i % 16, row=i))
         e.drain()
         assert len(done) == 64
