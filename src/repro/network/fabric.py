@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import networkx as nx
-
 from repro.config import SystemConfig
 from repro.network.topology import dimension_order_path, hypercube_topology
 from repro.sim.engine import Engine, Link, LinkCounters
@@ -38,16 +36,14 @@ class MemoryNetwork:
         self.engine = engine
         self.cfg = cfg
         self.faults = None   # armed by the system when a plan is active
-        self.graph: nx.Graph = hypercube_topology(cfg.num_hmcs)
+        self.edges = hypercube_topology(cfg.num_hmcs)
         # Per-direction link bandwidth; the memory backend may override
         # (the CXL backend models a switch fabric slower than HMC serdes).
         if bpc is None:
             bpc = cfg.hmc.link_bytes_per_sm_cycle(cfg.gpu.sm_clock_mhz)
         self._links: dict[tuple[int, int], Link] = {}
-        # sorted(): networkx edge order is adjacency-insertion order; a
-        # canonical construction order keeps link ids and any future
-        # iteration over _links independent of topology-builder internals.
-        for u, v in sorted(self.graph.edges):
+        # Edges arrive sorted: link ids follow a canonical order.
+        for u, v in self.edges:
             for a, b in ((u, v), (v, u)):
                 self._links[(a, b)] = Link(
                     engine, f"net{a}->{b}", bpc, latency=HOP_LATENCY,

@@ -8,22 +8,16 @@ which is minimal and deadlock-free on a hypercube.
 
 from __future__ import annotations
 
-import networkx as nx
 
-
-def hypercube_topology(num_nodes: int) -> nx.Graph:
-    """Build the n-dimensional hypercube graph for ``num_nodes`` stacks."""
+def hypercube_topology(num_nodes: int) -> list[tuple[int, int]]:
+    """Edges ``(u, v)``, ``u < v``, of the hypercube over ``num_nodes``
+    stacks, sorted."""
     if num_nodes < 1 or num_nodes & (num_nodes - 1):
         raise ValueError("hypercube needs a power-of-two node count")
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
     dim = num_nodes.bit_length() - 1
-    for node in range(num_nodes):
-        for d in range(dim):
-            peer = node ^ (1 << d)
-            if peer > node:
-                g.add_edge(node, peer, dim=d)
-    return g
+    return sorted((node, node ^ (1 << d))
+                  for node in range(num_nodes) for d in range(dim)
+                  if node ^ (1 << d) > node)
 
 
 def dimension_order_path(src: int, dst: int) -> list[int]:

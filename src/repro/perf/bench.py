@@ -31,6 +31,7 @@ import math
 import os
 import pstats
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -85,6 +86,8 @@ class BenchCell:
     sched: str
     wall_s: float                    # best of ``repeats`` runs
     wall_all: list[float] = field(default_factory=list)
+    cold_wall_s: float = 0.0         # first repeat: cold caches/allocator
+    build_s: float = 0.0             # median build_system (set-up) time
     cycles: int = 0
     cycles_per_sec: float = 0.0
     sm_ticks: int = 0
@@ -165,14 +168,17 @@ def _run_cell(workload: str, config: str, num_sms: int | None, *,
     if num_sms:
         base = base.scaled_gpu(num_sms=num_sms)
     walls: list[float] = []
+    builds: list[float] = []
     result = None
     sched_stats: dict = {}
     events = 0
     for _ in range(max(1, repeats)):
         # Fresh build every repeat: the run mutates the system, and build
-        # cost (trace generation) must stay outside the timed region.
+        # cost (trace generation) is timed apart from the run.
+        t0 = time.perf_counter()
         system = build_system(workload, config, base=base,
                               scale=BENCH_SCALE, sched=sched)
+        builds.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         result = system.run(max_cycles=max_cycles)
         walls.append(time.perf_counter() - t0)
@@ -192,6 +198,8 @@ def _run_cell(workload: str, config: str, num_sms: int | None, *,
         workload=workload, config=label or config, scale=BENCH_SCALE,
         num_sms=base.gpu.num_sms, sched=sched,
         wall_s=round(wall, 6), wall_all=[round(w, 6) for w in walls],
+        cold_wall_s=round(walls[0], 6),
+        build_s=round(statistics.median(builds), 6),
         cycles=total_cycles,
         cycles_per_sec=round(total_cycles / wall, 1) if wall > 0 else 0.0,
         sm_ticks=sm_ticks,
@@ -278,7 +286,9 @@ def run_bench(*, sched: str = "active", suites=("sparse",),
 def format_cell(cell: BenchCell | dict) -> str:
     c = cell if isinstance(cell, dict) else asdict(cell)
     return (f"{c['workload']:>7}/{c['config']:<14} sms={c['num_sms']:<4} "
-            f"{c['wall_s']:7.3f}s  {c['cycles_per_sec']:>12,.0f} cyc/s  "
+            f"{c['wall_s']:7.3f}s (cold {c.get('cold_wall_s', 0.0):.3f}s, "
+            f"build {c.get('build_s', 0.0):.3f}s)  "
+            f"{c['cycles_per_sec']:>12,.0f} cyc/s  "
             f"ticks/cyc={c['ticks_per_cycle']:<7.3f} "
             f"events={c['events_processed']}")
 
@@ -315,7 +325,9 @@ def load_report(path: str) -> dict:
 def compare(new: dict, baseline: dict) -> dict:
     """Match cells by identity (workload/config/scale/num_sms) and compute
     per-cell and geomean speedup of ``new`` over ``baseline``
-    (speedup = baseline wall / new wall, so > 1 means faster)."""
+    (speedup = baseline wall / new wall, so > 1 means faster).
+    ``build_ratio`` is the same ratio for set-up time (``build_s``);
+    None when either report predates it."""
     def key(c):
         return (c["workload"], c["config"], c["scale"], c["num_sms"])
 
@@ -337,6 +349,9 @@ def compare(new: dict, baseline: dict) -> dict:
             "speedup": (ref["wall_s"] / cell["wall_s"]
                         if cell["wall_s"] > 0 else 0.0),
             "digests_match": same_digest,
+            "build_ratio": (ref["build_s"] / cell["build_s"]
+                            if ref.get("build_s") and cell.get("build_s")
+                            else None),
         })
     speedups = [r["speedup"] for r in rows if r["speedup"] > 0]
     geomean = (math.exp(sum(math.log(s) for s in speedups) / len(speedups))
@@ -356,10 +371,12 @@ def format_compare(cmp: dict) -> list[str]:
     for r in cmp["rows"]:
         digest = {True: "digest ok", False: "DIGEST MISMATCH",
                   None: "digest n/a"}[r["digests_match"]]
+        build = r.get("build_ratio")
+        build = f"build x{build:.2f}" if build else "build n/a"
         lines.append(
             f"{r['workload']:>7}/{r['config']:<14} sms={r['num_sms']:<4} "
             f"{r['base_wall_s']:7.3f}s -> {r['new_wall_s']:7.3f}s  "
-            f"x{r['speedup']:.2f}  [{digest}]")
+            f"x{r['speedup']:.2f}  {build}  [{digest}]")
     lines.append(f"geomean speedup: x{cmp['geomean']:.2f} "
                  f"over {len(cmp['rows'])} cells")
     if cmp["unmatched"]:

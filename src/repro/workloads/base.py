@@ -172,11 +172,11 @@ class WorkloadModel:
         arrays = self.layout(scale)
         segments = self._segments(analyzed)
         lanes = np.arange(cfg.gpu.warp_width, dtype=np.int64)
+        # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
+        # which made trace digests differ across processes (DET004).
+        name_key = zlib.crc32(self.name.encode()) & 0xFFFF
         traces = []
         for w in range(scale.num_warps):
-            # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
-            # which made trace digests differ across processes (DET004).
-            name_key = zlib.crc32(self.name.encode()) & 0xFFFF
             rng = np.random.default_rng((cfg.seed, name_key, w))
             traces.append(self._warp_trace(w, scale, segments, arrays,
                                            lanes, rng))

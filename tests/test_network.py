@@ -1,5 +1,10 @@
 """Unit tests for the hypercube memory network and GPU links."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.config import SystemConfig, ci_config
@@ -13,15 +18,35 @@ from repro.network.topology import links_per_node
 from repro.sim.engine import Engine, LinkCounters
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def test_simulator_import_path_skips_networkx():
+    # The hypercube is a sorted edge list; loading a graph library to
+    # build it cost a third of the simulator's import time.
+    code = ("import sys\n"
+            "import repro.sim.runner, repro.sim.serialize, repro.sim.validate\n"
+            "print('networkx' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 class TestTopology:
     def test_8_node_hypercube_degree_3(self):
-        g = hypercube_topology(8)
-        assert all(g.degree[n] == 3 for n in g.nodes)
-        assert g.number_of_edges() == 12
+        edges = hypercube_topology(8)
+        assert len(edges) == 12
+        degree = Counter(n for edge in edges for n in edge)
+        assert sorted(degree) == list(range(8))
+        assert all(degree[n] == 3 for n in range(8))
 
     def test_edges_differ_in_one_bit(self):
-        g = hypercube_topology(8)
-        for u, v in g.edges:
+        edges = hypercube_topology(8)
+        assert edges == sorted(set(edges))
+        for u, v in edges:
+            assert u < v
             assert bin(u ^ v).count("1") == 1
 
     def test_non_power_of_two_rejected(self):

@@ -1,6 +1,8 @@
 """The simulator perf harness: pinned grid, baseline files, --compare."""
 
 import json
+import statistics
+import time
 
 import pytest
 
@@ -11,11 +13,12 @@ from repro.workloads import workload_names
 
 
 def _fake_cell(workload="VADD", config="Baseline", wall=0.5,
-               digest="d0", num_sms=128):
+               digest="d0", num_sms=128, build=0.25):
     return {
         "workload": workload, "config": config, "scale": "bench",
         "num_sms": num_sms, "sched": "active", "wall_s": wall,
-        "wall_all": [wall], "cycles": 1000, "cycles_per_sec": 1000 / wall,
+        "wall_all": [wall], "cold_wall_s": wall, "build_s": build,
+        "cycles": 1000, "cycles_per_sec": 1000 / wall,
         "sm_ticks": 4000, "ticks_per_cycle": 4.0, "events_processed": 10,
         "instructions": 500, "digest": digest,
     }
@@ -92,6 +95,25 @@ class TestCompare:
         assert len(cmp["rows"]) == 1
         assert cmp["unmatched"] == 1
 
+    def test_build_ratio_reported_beside_speedup(self):
+        base = _fake_report([_fake_cell(wall=1.0, build=0.6)])
+        new = _fake_report([_fake_cell(wall=1.0, build=0.2)])
+        cmp = perf.compare(new, base)
+        (row,) = cmp["rows"]
+        assert row["build_ratio"] == pytest.approx(3.0)
+        # set-up is reported, never folded into the run-time speedup
+        assert row["speedup"] == 1.0 and cmp["geomean"] == 1.0
+        assert "build x3.00" in perf.format_compare(cmp)[1]
+
+    def test_build_ratio_absent_for_reports_without_build_s(self):
+        old = _fake_cell()
+        del old["build_s"], old["cold_wall_s"]
+        cmp = perf.compare(_fake_report([_fake_cell()]),
+                           _fake_report([old]))
+        assert cmp["rows"][0]["build_ratio"] is None
+        assert "build n/a" in perf.format_compare(cmp)[1]
+        assert "build 0.000s" in perf.format_cell(old)
+
 
 class TestRealCell:
     def test_quick_grid_runs_and_records(self, tmp_path, monkeypatch):
@@ -111,6 +133,33 @@ class TestRealCell:
         cmp = perf.compare(out.report, perf.load_report(out.path))
         assert cmp["digests_match"] is True
         assert cmp["geomean"] == pytest.approx(1.0)
+
+    def test_cell_records_median_build_and_cold_wall(self, monkeypatch):
+        # Pad each repeat's build by a different sleep so the median,
+        # mean, min and max of the build times are all far apart.
+        monkeypatch.setattr(perf, "BENCH_SCALE", "ci")
+        pads = iter([0.4, 0.0, 0.1])
+        seen = []
+        real_build = perf.build_system
+
+        def padded_build(*args, **kwargs):
+            t0 = time.perf_counter()
+            time.sleep(next(pads))
+            system = real_build(*args, **kwargs)
+            seen.append(time.perf_counter() - t0)
+            return system
+
+        monkeypatch.setattr(perf, "build_system", padded_build)
+        cell = perf._run_cell("VADD", "Baseline", None, sched="active",
+                              repeats=3, max_cycles=20_000_000)
+        assert len(seen) == 3
+        assert cell.build_s == pytest.approx(statistics.median(seen),
+                                             abs=0.02)
+        assert cell.cold_wall_s == cell.wall_all[0]
+        assert cell.wall_s == min(cell.wall_all)
+        line = perf.format_cell(cell)
+        assert f"build {cell.build_s:.3f}s" in line
+        assert f"cold {cell.cold_wall_s:.3f}s" in line
 
     def test_legacy_and_active_cells_share_digests(self, monkeypatch):
         monkeypatch.setattr(perf, "BENCH_SCALE", "ci")

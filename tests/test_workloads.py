@@ -1,6 +1,8 @@
 """Unit tests for the workload models: Table 1 counts and the address
 properties that drive each workload's paper behaviour."""
 
+import hashlib
+
 import pytest
 
 from repro.config import LINE_SIZE, ci_config
@@ -199,3 +201,53 @@ class TestScaling:
     def test_iter_factor_respected(self):
         bprop = get_workload("BPROP").build(CFG, Scale("s", 8, 8))
         assert bprop.scale.iters == 4   # iter_factor = 0.5
+
+
+def _trace_digest(inst) -> str:
+    """sha256 over every warp's items: a block's ``active_threads`` plus
+    every coalesced ``(line_addr, words, irregular)`` triple, with item,
+    group and warp boundaries marked so regrouping changes the digest."""
+    h = hashlib.sha256()
+    for trace in inst.traces:
+        h.update(b"W")
+        for item in trace:
+            if isinstance(item, DynBlock):
+                h.update(b"B%d" % item.active_threads)
+                groups = item.mem_accesses
+            else:
+                h.update(b"I")
+                groups = (item.accesses,)
+            for group in groups:
+                h.update(b"G")
+                for a in group:
+                    h.update(b"%d,%d,%d;"
+                             % (a.line_addr, a.words, a.irregular))
+    return h.hexdigest()[:16]
+
+
+class TestTracePins:
+    """Built-trace content at ``ci`` scale, pinned per workload.
+
+    Checks trace generation (address models, active masks, coalescing)
+    directly rather than through simulation digests: a coalescer or
+    ``mem_addrs`` change that alters any access shows up here first."""
+
+    EXPECTED = {
+        "BPROP": "115382c9a498c579",
+        "BFS": "827cf29ace1897af",
+        "BICG": "c1b5cd7878bc33a5",
+        "FWT": "8561a44a8580c4c8",
+        "KMN": "afba678ca2764746",
+        "MiniFE": "f8ec466524922619",
+        "SP": "efb9e76895a0db0f",
+        "STN": "22023ac16759813f",
+        "STCL": "8b124cad8fdfe515",
+        "VADD": "32c633f48d76ef05",
+    }
+
+    def test_all_table1_workloads_pinned(self):
+        assert set(self.EXPECTED) == set(TABLE1)
+
+    @pytest.mark.parametrize("name", list(TABLE1))
+    def test_trace_digest(self, built, name):
+        assert _trace_digest(built[name]) == self.EXPECTED[name]
